@@ -1,14 +1,20 @@
 //! Credit-based streaming transport for in-transit analytics.
 //!
 //! In-transit placement partitions the cluster: simulation ranks stream
-//! wire-serialized time-step chunks to a smaller set of *staging* ranks
-//! that run the analytics. The transport here is the producer↔stager wire:
+//! time-step chunks to a smaller set of *staging* ranks that run the
+//! analytics. The transport here is the producer↔stager wire:
 //!
-//! * **Double-buffered async sends** — [`StreamSender::feed`] serializes the
-//!   time-step into a fresh payload and hands it to the (queued,
-//!   non-blocking) channel transport, so the simulation resumes immediately
-//!   while the previous chunk is still in flight. The only blocking point
-//!   is flow control.
+//! * **One-copy data plane** — a time-step is encoded once, written once,
+//!   read once and decoded once. [`StreamSender::feed`] sizes the batch
+//!   frame exactly ([`smart_wire::encoded_len`]) and encodes the step
+//!   straight behind its chunk header, so with `batch_steps = 1` that
+//!   buffer *is* the transport frame. [`StreamReceiver`] keeps each received
+//!   frame as a validated [`BatchFrame`] cursor and decodes a chunk's
+//!   `Vec<T>` straight from the frame slice when it is consumed.
+//! * **Double-buffered async sends** — the frame is handed to the (queued,
+//!   non-blocking) transport, so the simulation resumes immediately while
+//!   the previous chunk is still in flight. The only blocking point is flow
+//!   control.
 //! * **Bounded credit window** — a producer may have at most
 //!   [`StreamConfig::window`] un-consumed time-step chunks outstanding. The
 //!   stager returns one credit per chunk *as it consumes it*, so a slow
@@ -18,15 +24,39 @@
 //!   max-chunk-bytes` per producer ([`StreamRecvStats::buffered_bytes_peak`]
 //!   observes the bound).
 //! * **Batching/coalescing knobs** — up to [`StreamConfig::batch_steps`]
-//!   chunks ride in one wire message (flushed early past
+//!   chunks ride in one frame (flushed early past
 //!   [`StreamConfig::max_batch_bytes`]), trading per-message overhead
-//!   against latency.
+//!   against latency. A multi-chunk frame is freed when its last chunk is
+//!   consumed.
 //! * **Clean termination** — [`StreamSender::finish`] flushes the tail and
 //!   marks end-of-stream; [`StreamReceiver::recv`] then yields `None`. A
 //!   stager that dies mid-stream surfaces to its producers as
 //!   [`CommError::PeerGone`] (on the next credit wait or data send), never
 //!   a hang; a producer that dies surfaces the same way on the stager's
 //!   next data receive.
+//!
+//! ## Batch frame
+//!
+//! Flat and versionless, every integer a little-endian `u64`:
+//!
+//! ```text
+//! [n_chunks u64][eos u8]                        batch header, 9 bytes
+//! n_chunks × [step u64][offset u64][payload_len u64][payload]
+//! ```
+//!
+//! `payload` is the `smart_wire` encoding of the step's `[T]`. The receiver
+//! checks every count and length against the bytes actually present before
+//! it allocates anything; a malformed frame is a [`CommError::Codec`].
+//!
+//! ## Copies per step
+//!
+//! | | producer | stager |
+//! |---|---|---|
+//! | before | encode → serde re-encode of the payload bytes → socket write | zero-fill → socket read → serde re-decode → decode |
+//! | now | encode → write | read → decode |
+//!
+//! (The in-process transport moves the frame by ownership, so there the
+//! write and the read are no copies at all.)
 //!
 //! Tags in [`STREAM_BASE`]`..STREAM_LIMIT` are reserved for this transport
 //! (the claim is recorded in [`tags`](crate::tags)); user point-to-point
@@ -36,6 +66,7 @@ use crate::communicator::{Communicator, Tag};
 use crate::error::{CommError, CommResult};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
+use smart_wire::Deserializer;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::time::{Duration, Instant};
@@ -47,6 +78,11 @@ pub use crate::tags::STREAM_BASE;
 const DATA_TAG: Tag = STREAM_BASE | 1;
 /// Stager → producer credit grants.
 const CREDIT_TAG: Tag = STREAM_BASE | 2;
+
+/// Bytes of the batch header `[n_chunks u64][eos u8]`.
+const BATCH_HEADER_LEN: usize = 9;
+/// Bytes of a chunk header `[step u64][offset u64][payload_len u64]`.
+const CHUNK_HEADER_LEN: usize = 24;
 
 /// Flow-control and coalescing knobs for one producer→stager stream.
 #[derive(Debug, Clone)]
@@ -108,34 +144,141 @@ impl StreamConfig {
     }
 }
 
-/// One wire-serialized time-step partition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ChunkMsg {
+/// One chunk of a [`BatchFrame`], borrowed from the frame's bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkRef<'a> {
     /// Time-step sequence number (0-based, per stream).
-    step: u64,
+    pub step: u64,
     /// First global element index of the partition this chunk carries.
-    offset: u64,
-    /// `smart_wire`-encoded `&[T]` payload.
-    payload: Vec<u8>,
+    pub offset: usize,
+    /// `smart_wire`-encoded `[T]` payload.
+    pub payload: &'a [u8],
 }
 
-/// A coalesced batch of chunks, optionally carrying end-of-stream.
-#[derive(Debug, Serialize, Deserialize)]
-struct BatchMsg {
-    chunks: Vec<ChunkMsg>,
+/// Read one chunk record at the cursor, checking its declared payload
+/// length against the bytes actually present.
+fn read_chunk<'a>(de: &mut Deserializer<'a>) -> smart_wire::Result<ChunkRef<'a>> {
+    let step = u64::deserialize(&mut *de)?;
+    let offset = u64::deserialize(&mut *de)?;
+    let declared = u64::deserialize(&mut *de)?;
+    let possible = de.remaining() as u64;
+    if declared > possible {
+        return Err(smart_wire::Error::LengthOverrun { declared, possible });
+    }
+    let offset = usize::try_from(offset).map_err(|_| {
+        smart_wire::Error::Message(format!("chunk offset {offset} exceeds the address space"))
+    })?;
+    Ok(ChunkRef { step, offset, payload: de.take_bytes(declared as usize)? })
+}
+
+/// Split the first chunk record (header + payload) off `records`.
+fn split_record(records: &[u8]) -> smart_wire::Result<(&[u8], &[u8])> {
+    let mut de = Deserializer::new(records);
+    read_chunk(&mut de)?;
+    let len = records.len() - de.remaining();
+    records
+        .split_at_checked(len)
+        .ok_or(smart_wire::Error::UnexpectedEof { needed: len, remaining: records.len() })
+}
+
+/// Overwrite a frame's batch header. `frame` starts with the
+/// [`BATCH_HEADER_LEN`]-byte placeholder `push_chunk`/`flush` put there.
+fn seal(frame: &mut [u8], n_chunks: usize, eos: bool) {
+    let header = (n_chunks as u64).to_le_bytes().into_iter().chain([u8::from(eos)]);
+    for (slot, byte) in frame.iter_mut().zip(header) {
+        *slot = byte;
+    }
+}
+
+/// The chunk records of a sealed or under-construction frame: everything
+/// behind the batch header.
+fn records(frame: &[u8]) -> &[u8] {
+    frame.get(BATCH_HEADER_LEN..).unwrap_or_default()
+}
+
+fn alloc_error(e: std::collections::TryReserveError) -> CommError {
+    CommError::Codec(smart_wire::Error::Message(format!("stream frame buffer: {e}")))
+}
+
+/// A received batch frame, validated once, and a cursor over its chunks.
+///
+/// [`parse`](Self::parse) walks every chunk header against the bytes
+/// actually present and allocates nothing, so a truncated frame, an
+/// over-count `n_chunks`, an over-long `payload_len`, trailing bytes or a
+/// non-0/1 `eos` byte is a [`CommError::Codec`] before any chunk is
+/// delivered. [`next_chunk`](Self::next_chunk) then re-reads one header at a
+/// time, in place (the `EntriesCursor` idea applied to the stream).
+#[derive(Debug)]
+pub struct BatchFrame {
+    bytes: Vec<u8>,
+    /// Offset of the next unread chunk header.
+    pos: usize,
+    /// Chunks not yet yielded.
+    left: usize,
     eos: bool,
+    /// Payload bytes of all chunks, read or not.
+    payload_bytes: u64,
+}
+
+impl BatchFrame {
+    /// Validate `bytes` as one batch frame and position the cursor on its
+    /// first chunk.
+    pub fn parse(bytes: Vec<u8>) -> CommResult<BatchFrame> {
+        let mut de = Deserializer::new(&bytes);
+        let declared = u64::deserialize(&mut de)?;
+        let eos = bool::deserialize(&mut de)?;
+        let possible = (de.remaining() / CHUNK_HEADER_LEN) as u64;
+        if declared > possible {
+            return Err(smart_wire::Error::LengthOverrun { declared, possible }.into());
+        }
+        let mut payload_bytes = 0u64;
+        for _ in 0..declared {
+            payload_bytes += read_chunk(&mut de)?.payload.len() as u64;
+        }
+        if de.remaining() != 0 {
+            return Err(smart_wire::Error::TrailingBytes(de.remaining()).into());
+        }
+        Ok(BatchFrame { bytes, pos: BATCH_HEADER_LEN, left: declared as usize, eos, payload_bytes })
+    }
+
+    /// Whether this frame carries the end-of-stream marker.
+    pub fn eos(&self) -> bool {
+        self.eos
+    }
+
+    /// Chunks not yet yielded by [`next_chunk`](Self::next_chunk).
+    pub fn chunks_left(&self) -> usize {
+        self.left
+    }
+
+    /// The next chunk in frame order, or `None` after the last.
+    pub fn next_chunk(&mut self) -> Option<ChunkRef<'_>> {
+        if self.left == 0 {
+            return None;
+        }
+        let mut de = Deserializer::new(self.bytes.get(self.pos..)?);
+        // `parse` already walked this header; the error arm is unreachable.
+        let chunk = read_chunk(&mut de).ok()?;
+        self.pos = self.bytes.len() - de.remaining();
+        self.left -= 1;
+        Some(chunk)
+    }
 }
 
 /// Producer-side stream counters.
 #[derive(Debug, Clone, Default)]
 pub struct StreamSendStats {
     /// Total time inside [`StreamSender::feed`]/[`StreamSender::finish`]
-    /// (serialization + transport + credit waits) — the time-step latency
+    /// (encode + credit waits + transport write) — the time-step latency
     /// the *simulation* observes from analytics.
     pub send_busy: Duration,
     /// Portion of [`send_busy`](Self::send_busy) spent blocked waiting for
     /// credits — pure backpressure from a slower stager.
     pub credit_wait: Duration,
+    /// Portion of [`send_busy`](Self::send_busy) spent sizing and encoding
+    /// time-steps into the batch frame. What remains after this and
+    /// [`credit_wait`](Self::credit_wait) is the transport write.
+    pub encode_busy: Duration,
     /// Serialized bytes shipped (batch framing included).
     pub bytes: u64,
     /// Time-step chunks sent.
@@ -157,12 +300,19 @@ pub struct StreamSender<T> {
     cfg: StreamConfig,
     credits: usize,
     next_step: u64,
-    batch: Vec<ChunkMsg>,
+    /// The batch frame under construction: a header placeholder (sealed at
+    /// flush) followed by the chunk records fed since the last flush.
+    /// Empty, or header-only, between batches.
+    batch: Vec<u8>,
+    /// Chunk records in [`batch`](Self::batch).
+    batch_chunks: usize,
+    /// Payload bytes in [`batch`](Self::batch), for
+    /// [`StreamConfig::max_batch_bytes`].
     batch_bytes: usize,
-    /// Sent-but-unacknowledged chunks, oldest first. Populated only under
-    /// [`StreamConfig::retain_unacked`]; each incoming credit retires the
-    /// oldest entry.
-    unacked: VecDeque<ChunkMsg>,
+    /// Sent-but-unacknowledged chunk records (header + payload), oldest
+    /// first. Populated only under [`StreamConfig::retain_unacked`]; each
+    /// incoming credit retires the oldest entry.
+    unacked: VecDeque<Vec<u8>>,
     finished: bool,
     eos_sent: bool,
     stats: StreamSendStats,
@@ -183,6 +333,7 @@ impl<T: Serialize> StreamSender<T> {
             cfg,
             next_step: 0,
             batch: Vec::new(),
+            batch_chunks: 0,
             batch_bytes: 0,
             unacked: VecDeque::new(),
             finished: false,
@@ -223,25 +374,59 @@ impl<T: Serialize> StreamSender<T> {
     }
 
     /// Stream one time-step partition (`offset` = its first global element
-    /// index). Serializes immediately — the caller's buffer can be reused
-    /// as soon as this returns — and blocks only when the credit window is
+    /// index). Encodes immediately — the caller's buffer can be reused as
+    /// soon as this returns — and blocks only when the credit window is
     /// exhausted.
     pub fn feed(&mut self, comm: &mut Communicator, offset: usize, step: &[T]) -> CommResult<()> {
         assert!(!self.finished, "feed after finish");
         let started = Instant::now();
-        let payload = smart_wire::to_bytes(step)?;
-        self.batch_bytes += payload.len();
-        self.batch.push(ChunkMsg { step: self.next_step, offset: offset as u64, payload });
-        self.next_step += 1;
-        let result = if self.batch.len() >= self.cfg.batch_steps
-            || self.batch_bytes >= self.cfg.max_batch_bytes
-        {
-            self.flush(comm, false)
-        } else {
-            Ok(())
-        };
+        let result = self.push_chunk(offset, step).and_then(|()| {
+            if self.batch_chunks >= self.cfg.batch_steps
+                || self.batch_bytes >= self.cfg.max_batch_bytes
+            {
+                self.flush(comm, false)
+            } else {
+                Ok(())
+            }
+        });
         self.stats.send_busy += started.elapsed();
         result
+    }
+
+    /// Encode `step` as one chunk record onto the end of the batch frame.
+    ///
+    /// The frame is reserved exactly, never grown by doubling: a fresh batch
+    /// reserves room for as many steps of this length as will ride in it
+    /// (so with `batch_steps = 1` the one allocation is the transport
+    /// frame), and a step longer than its predecessors adds its own bytes.
+    fn push_chunk(&mut self, offset: usize, step: &[T]) -> CommResult<()> {
+        let encoding = Instant::now();
+        let payload_len = smart_wire::encoded_len(step)?;
+        let payload_bytes = usize::try_from(payload_len).unwrap_or(usize::MAX);
+        let chunk_len = payload_bytes.saturating_add(CHUNK_HEADER_LEN);
+        let mark = self.batch.len();
+        if self.batch.is_empty() {
+            let expected =
+                self.cfg.batch_steps.min(self.cfg.max_batch_bytes.div_ceil(payload_bytes.max(1)));
+            let frame_len =
+                chunk_len.saturating_mul(expected.max(1)).saturating_add(BATCH_HEADER_LEN);
+            self.batch.try_reserve_exact(frame_len).map_err(alloc_error)?;
+            self.batch.resize(BATCH_HEADER_LEN, 0);
+        } else {
+            self.batch.try_reserve_exact(chunk_len).map_err(alloc_error)?;
+        }
+        self.batch.extend_from_slice(&self.next_step.to_le_bytes());
+        self.batch.extend_from_slice(&(offset as u64).to_le_bytes());
+        self.batch.extend_from_slice(&payload_len.to_le_bytes());
+        if let Err(e) = smart_wire::to_writer(&mut self.batch, step) {
+            self.batch.truncate(mark);
+            return Err(e.into());
+        }
+        self.batch_chunks += 1;
+        self.batch_bytes += payload_bytes;
+        self.next_step += 1;
+        self.stats.encode_busy += encoding.elapsed();
+        Ok(())
     }
 
     /// Harvest already-arrived credits without blocking, then block until
@@ -267,8 +452,39 @@ impl<T: Serialize> StreamSender<T> {
         Ok(())
     }
 
+    /// Split the first `take` chunk records off the batch into a frame of
+    /// their own, leaving the rest (behind a fresh header placeholder) as
+    /// the batch. Only a replayed backlog is ever larger than the window.
+    fn split_batch(&mut self, take: usize) -> CommResult<Vec<u8>> {
+        let mut tail = records(&self.batch);
+        let mut head_bytes = 0usize;
+        for _ in 0..take {
+            let (record, rest) = split_record(tail)?;
+            head_bytes += record.len().saturating_sub(CHUNK_HEADER_LEN);
+            tail = rest;
+        }
+        let mut rest = Vec::new();
+        rest.try_reserve_exact(BATCH_HEADER_LEN + tail.len()).map_err(alloc_error)?;
+        rest.resize(BATCH_HEADER_LEN, 0);
+        rest.extend_from_slice(tail);
+        self.batch.truncate(self.batch.len() - tail.len());
+        self.batch_bytes -= head_bytes;
+        Ok(std::mem::replace(&mut self.batch, rest))
+    }
+
+    /// Copy each chunk record of a departing frame into the replay buffer.
+    fn retain(&mut self, frame: &[u8]) -> CommResult<()> {
+        let mut rest = records(frame);
+        while !rest.is_empty() {
+            let (record, tail) = split_record(rest)?;
+            self.unacked.push_back(record.to_vec());
+            rest = tail;
+        }
+        Ok(())
+    }
+
     fn flush(&mut self, comm: &mut Communicator, eos: bool) -> CommResult<()> {
-        if self.batch.is_empty() && !eos {
+        if self.batch_chunks == 0 && !eos {
             return Ok(());
         }
         loop {
@@ -277,25 +493,32 @@ impl<T: Serialize> StreamSender<T> {
             // failover the replayed backlog can exceed the fresh window; it
             // goes out in window-sized sub-batches, later ones departing as
             // the replacement receiver returns credits.
-            let take = self.batch.len().min(self.cfg.window);
+            let take = self.batch_chunks.min(self.cfg.window);
             self.acquire_credits(comm, take)?;
             self.credits -= take;
-            let rest = self.batch.split_off(take);
-            let last = rest.is_empty();
-            let msg =
-                BatchMsg { chunks: std::mem::replace(&mut self.batch, rest), eos: eos && last };
-            self.batch_bytes = self.batch.iter().map(|c| c.payload.len()).sum();
-            let bytes = smart_wire::to_bytes(&msg)?;
-            self.stats.bytes += bytes.len() as u64;
-            self.stats.steps += msg.chunks.len() as u64;
-            self.stats.batches += 1;
-            let sent = comm.send_bytes(self.peer, DATA_TAG, bytes);
-            if self.cfg.retain_unacked {
-                // Even when the send itself failed, keep the chunks: the
-                // failover path replays them to the replacement receiver.
-                self.unacked.extend(msg.chunks);
+            let last = take == self.batch_chunks;
+            let mut frame = if last {
+                self.batch_bytes = 0;
+                std::mem::take(&mut self.batch)
+            } else {
+                self.split_batch(take)?
+            };
+            self.batch_chunks -= take;
+            if frame.is_empty() {
+                // A bare end-of-stream marker: no batch was under way.
+                frame.resize(BATCH_HEADER_LEN, 0);
             }
-            sent?;
+            seal(&mut frame, take, eos && last);
+            if self.cfg.retain_unacked {
+                // Before the send: even when the send itself fails the
+                // chunks must survive, so the failover path can replay them
+                // to the replacement receiver.
+                self.retain(&frame)?;
+            }
+            self.stats.bytes += frame.len() as u64;
+            self.stats.steps += take as u64;
+            self.stats.batches += 1;
+            comm.send_bytes(self.peer, DATA_TAG, frame)?;
             if last {
                 self.eos_sent = eos;
                 return Ok(());
@@ -360,10 +583,17 @@ impl<T: Serialize> StreamSender<T> {
         self.credits = self.cfg.window;
         self.stats.reroutes += 1;
         self.stats.replayed += self.unacked.len() as u64;
-        let mut replay: Vec<ChunkMsg> = self.unacked.drain(..).collect();
-        replay.append(&mut self.batch);
-        self.batch_bytes = replay.iter().map(|c| c.payload.len()).sum();
-        self.batch = replay;
+        let tail = records(&self.batch);
+        let replay_len: usize = self.unacked.iter().map(Vec::len).sum();
+        let mut batch = Vec::with_capacity(BATCH_HEADER_LEN + replay_len + tail.len());
+        batch.resize(BATCH_HEADER_LEN, 0);
+        for record in self.unacked.drain(..) {
+            batch.extend_from_slice(&record);
+            self.batch_chunks += 1;
+            self.batch_bytes += record.len().saturating_sub(CHUNK_HEADER_LEN);
+        }
+        batch.extend_from_slice(tail);
+        self.batch = batch;
         self.eos_sent = false;
         if self.finished {
             // finish_wait_acked will re-flush the replayed tail + EOS.
@@ -377,6 +607,8 @@ impl<T: Serialize> StreamSender<T> {
 pub struct StreamRecvStats {
     /// Time blocked waiting for data from this producer.
     pub recv_busy: Duration,
+    /// Time decoding consumed chunks from their frame into `Vec<T>`.
+    pub decode_busy: Duration,
     /// Serialized bytes received (batch framing included).
     pub bytes: u64,
     /// Time-step chunks delivered.
@@ -389,7 +621,8 @@ pub struct StreamRecvStats {
 /// The stager (analytics-side) end of a stream from one producer.
 pub struct StreamReceiver<T> {
     peer: usize,
-    queue: VecDeque<ChunkMsg>,
+    /// Received frames that still hold unconsumed chunks, oldest first.
+    frames: VecDeque<BatchFrame>,
     buffered_bytes: u64,
     eos: bool,
     stats: StreamRecvStats,
@@ -401,7 +634,7 @@ impl<T: DeserializeOwned> StreamReceiver<T> {
     pub fn new(peer: usize) -> Self {
         StreamReceiver {
             peer,
-            queue: VecDeque::new(),
+            frames: VecDeque::new(),
             buffered_bytes: 0,
             eos: false,
             stats: StreamRecvStats::default(),
@@ -416,27 +649,26 @@ impl<T: DeserializeOwned> StreamReceiver<T> {
 
     /// `true` once end-of-stream has been received *and* drained.
     pub fn is_finished(&self) -> bool {
-        self.eos && self.queue.is_empty()
+        self.eos && self.frames.is_empty()
     }
 
-    /// Ingest one wire batch into the reorder queue.
+    /// Validate one received frame and queue it behind the earlier ones.
     fn ingest(&mut self, bytes: Vec<u8>) -> CommResult<()> {
         self.stats.bytes += bytes.len() as u64;
-        let msg: BatchMsg = smart_wire::from_bytes(&bytes)?;
-        self.eos |= msg.eos;
-        for chunk in msg.chunks {
-            self.buffered_bytes += chunk.payload.len() as u64;
-            self.queue.push_back(chunk);
-        }
+        let frame = BatchFrame::parse(bytes)?;
+        self.eos |= frame.eos;
+        self.buffered_bytes += frame.payload_bytes;
         self.stats.buffered_bytes_peak = self.stats.buffered_bytes_peak.max(self.buffered_bytes);
+        if frame.left > 0 {
+            self.frames.push_back(frame);
+        }
         Ok(())
     }
 
-    /// Receive the next time-step chunk in order: `(step, offset, data)`.
-    /// Returns `Ok(None)` at end-of-stream. Consuming a chunk returns one
-    /// credit to the producer, opening its window.
-    pub fn recv(&mut self, comm: &mut Communicator) -> CommResult<Option<(u64, usize, Vec<T>)>> {
-        while self.queue.is_empty() && !self.eos {
+    /// The next time-step chunk in order, decoded straight from its frame;
+    /// `Ok(None)` at end-of-stream. Returns no credit.
+    fn next_chunk(&mut self, comm: &mut Communicator) -> CommResult<Option<(u64, usize, Vec<T>)>> {
+        while self.frames.is_empty() && !self.eos {
             let waited = Instant::now();
             let bytes = comm.recv_bytes(self.peer, DATA_TAG)?;
             self.stats.recv_busy += waited.elapsed();
@@ -456,20 +688,34 @@ impl<T: DeserializeOwned> StreamReceiver<T> {
                 Err(e) => return Err(e),
             }
         }
-        let Some(chunk) = self.queue.pop_front() else {
+        let Some(frame) = self.frames.front_mut() else {
             return Ok(None);
         };
+        let Some(chunk) = frame.next_chunk() else {
+            return Ok(None);
+        };
+        let decoding = Instant::now();
+        let decoded = smart_wire::vec_from_bytes::<T>(chunk.payload);
+        self.stats.decode_busy += decoding.elapsed();
+        let (step, offset) = (chunk.step, chunk.offset);
         self.buffered_bytes -= chunk.payload.len() as u64;
-        let data: Vec<T> = smart_wire::from_bytes(&chunk.payload)?;
-        self.stats.steps += 1;
-        // Return the credit. Best-effort: after end-of-stream the producer
-        // may already have exited, and a vanished producer needs no flow
-        // control — its death would surface on the next *data* receive.
-        match comm.send(self.peer, CREDIT_TAG, &1u32) {
-            Ok(()) | Err(CommError::PeerGone { .. }) => {}
-            Err(e) => return Err(e),
+        if frame.left == 0 {
+            self.frames.pop_front();
         }
-        Ok(Some((chunk.step, chunk.offset as usize, data)))
+        let data = decoded?;
+        self.stats.steps += 1;
+        Ok(Some((step, offset, data)))
+    }
+
+    /// Receive the next time-step chunk in order: `(step, offset, data)`.
+    /// Returns `Ok(None)` at end-of-stream. Consuming a chunk returns one
+    /// credit to the producer, opening its window.
+    pub fn recv(&mut self, comm: &mut Communicator) -> CommResult<Option<(u64, usize, Vec<T>)>> {
+        let chunk = self.next_chunk(comm)?;
+        if chunk.is_some() {
+            self.ack(comm, 1)?;
+        }
+        Ok(chunk)
     }
 
     /// The producer rank this receiver is paired with.
@@ -488,35 +734,14 @@ impl<T: DeserializeOwned> StreamReceiver<T> {
         &mut self,
         comm: &mut Communicator,
     ) -> CommResult<Option<(u64, usize, Vec<T>)>> {
-        while self.queue.is_empty() && !self.eos {
-            let waited = Instant::now();
-            let bytes = comm.recv_bytes(self.peer, DATA_TAG)?;
-            self.stats.recv_busy += waited.elapsed();
-            self.ingest(bytes)?;
-        }
-        while !self.eos {
-            match comm.try_recv_bytes(self.peer, DATA_TAG) {
-                Ok(Some(bytes)) => self.ingest(bytes)?,
-                Ok(None) => break,
-                // See `recv`: data ahead of a buffered death notice is
-                // delivered before the death is surfaced.
-                Err(CommError::PeerGone { .. }) => break,
-                Err(e) => return Err(e),
-            }
-        }
-        let Some(chunk) = self.queue.pop_front() else {
-            return Ok(None);
-        };
-        self.buffered_bytes -= chunk.payload.len() as u64;
-        let data: Vec<T> = smart_wire::from_bytes(&chunk.payload)?;
-        self.stats.steps += 1;
-        Ok(Some((chunk.step, chunk.offset as usize, data)))
+        self.next_chunk(comm)
     }
 
     /// Acknowledge `n` consumed chunks: grants `n` credits, which under
     /// [`StreamConfig::retain_unacked`] also retires the oldest `n` entries
-    /// of the producer's replay buffer. Best-effort — a producer that
-    /// already exited cleanly needs no acknowledgement.
+    /// of the producer's replay buffer. Best-effort — after end-of-stream
+    /// the producer may already have exited, and a vanished producer needs
+    /// no flow control; its death would surface on the next *data* receive.
     pub fn ack(&mut self, comm: &mut Communicator, n: usize) -> CommResult<()> {
         if n == 0 {
             return Ok(());
@@ -576,6 +801,45 @@ mod tests {
             let expected: f64 = (0..16).map(|i| (t * 16 + i) as f64).sum();
             assert_eq!(*sum, expected, "step {t}");
         }
+    }
+
+    /// The frame on the wire is exactly the documented layout: the test
+    /// lays one out by hand and compares it with what `feed` sent.
+    #[test]
+    fn frame_layout_matches_the_documented_bytes() {
+        let results = run_cluster(2, |mut comm| {
+            if comm.rank() == 0 {
+                let mut tx = StreamSender::<u32>::new(1, StreamConfig::with_window(2));
+                tx.feed(&mut comm, 7, &[10, 20, 30]).unwrap();
+                tx.finish(&mut comm).unwrap();
+                Vec::new()
+            } else {
+                let data = comm.recv_bytes(0, DATA_TAG).unwrap();
+                let eos = comm.recv_bytes(0, DATA_TAG).unwrap();
+                vec![data, eos]
+            }
+        });
+        let payload = smart_wire::to_bytes(&[10u32, 20, 30][..]).unwrap();
+        let mut want = Vec::new();
+        want.extend_from_slice(&1u64.to_le_bytes()); // n_chunks
+        want.push(0); // eos
+        want.extend_from_slice(&0u64.to_le_bytes()); // step
+        want.extend_from_slice(&7u64.to_le_bytes()); // offset
+        want.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        want.extend_from_slice(&payload);
+        assert_eq!(results[1][0], want);
+        assert_eq!(results[1][0].capacity(), want.len(), "the frame is sized exactly");
+        let mut bare_eos = 0u64.to_le_bytes().to_vec();
+        bare_eos.push(1);
+        assert_eq!(results[1][1], bare_eos);
+    }
+
+    #[test]
+    fn busy_counters_decompose_send_and_recv_time() {
+        let (send, recv, _) = roundtrip(StreamConfig::with_window(2), 8);
+        assert!(send.encode_busy > Duration::ZERO);
+        assert!(send.encode_busy + send.credit_wait <= send.send_busy);
+        assert!(recv.decode_busy > Duration::ZERO);
     }
 
     #[test]
@@ -781,6 +1045,50 @@ mod tests {
             }
         });
         assert_eq!(results[2], (1..steps).collect::<Vec<_>>());
+    }
+
+    /// A replayed backlog larger than the fresh window (two unacknowledged
+    /// chunks plus the one being fed, window 2) must leave in window-sized
+    /// sub-batches and still arrive complete and in order.
+    #[test]
+    fn failover_backlog_larger_than_window_departs_in_sub_batches() {
+        let results = run_cluster(3, |mut comm| match comm.rank() {
+            0 => {
+                let cfg = StreamConfig::with_window(2).with_retain_unacked(true);
+                let mut tx = StreamSender::<u64>::new(1, cfg);
+                for t in 0..3u64 {
+                    if let Err(CommError::PeerGone { .. }) = tx.feed(&mut comm, t as usize, &[t; 4])
+                    {
+                        tx.failover(2);
+                    }
+                }
+                while let Err(CommError::PeerGone { .. }) = tx.finish_wait_acked(&mut comm) {
+                    tx.failover(2);
+                }
+                assert_eq!(tx.stats().replayed, 2);
+                assert_eq!(tx.unacked_len(), 0);
+                Vec::new()
+            }
+            1 => {
+                // Consume both chunks of the window, commit neither, die.
+                let mut rx = StreamReceiver::<u64>::new(0);
+                rx.recv_deferred(&mut comm).unwrap().unwrap();
+                rx.recv_deferred(&mut comm).unwrap().unwrap();
+                Vec::new()
+            }
+            _ => {
+                let mut rx = StreamReceiver::<u64>::new(0);
+                let mut got = Vec::new();
+                while let Some((step, offset, data)) = rx.recv_deferred(&mut comm).unwrap() {
+                    assert_eq!(data, vec![step; 4]);
+                    assert_eq!(offset as u64, step);
+                    got.push(step);
+                    rx.ack(&mut comm, 1).unwrap();
+                }
+                got
+            }
+        });
+        assert_eq!(results[2], vec![0, 1, 2]);
     }
 
     #[test]

@@ -19,6 +19,14 @@
 //! death notice from its peer, which is how an abrupt disconnect surfaces as
 //! [`PeerGone`](crate::CommError::PeerGone) rather than a hang.
 //!
+//! A frame costs one vectored write (header and payload together — under
+//! `TCP_NODELAY` two writes would be two packets for a 4-byte credit) and
+//! one exactly-sized, never zero-filled buffer on the reading side. The
+//! length prefix is not trusted with memory: the reader commits to the
+//! claimed length only after the first [`PROBE_LEN`] payload bytes have
+//! actually arrived, and a refused reservation is a death notice, not an
+//! abort.
+//!
 //! Death protocol: `notify_death` writes a [`DEATH_TAG`] frame on every
 //! established outgoing stream, *connects out* to every peer it never talked
 //! to just to deliver hello + death (so a rank that dies silently still
@@ -31,12 +39,15 @@ use crate::Tag;
 use smart_sync::atomic::{AtomicBool, Ordering};
 use smart_sync::channel::{self, Receiver, Sender};
 use smart_sync::Arc;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::time::Duration;
 
-/// Sanity cap on a decoded frame length: a corrupt or hostile stream must
-/// not trigger a huge allocation. Far above any real reduction map.
+/// Sanity cap on a decoded frame length. Far above any real reduction map.
 const MAX_FRAME_LEN: u64 = 1 << 32;
+
+/// Payload bytes a peer must deliver before the reader reserves the rest of
+/// the length its header claims: a header alone buys at most this much.
+const PROBE_LEN: usize = 64 << 10;
 
 /// The socket flavour a mesh runs over: how to bind, accept, and connect.
 pub(crate) trait Fabric: Send + Sync + 'static {
@@ -142,20 +153,41 @@ fn reader_loop<S: Read>(mut stream: S, size: usize, events_tx: Sender<Frame>) {
         let tag = Tag::from_le_bytes(header[..8].try_into().expect("8-byte slice"));
         // PANIC-FREE: constant split of a fixed 16-byte header; both halves are exactly 8 bytes.
         let len = u64::from_le_bytes(header[8..].try_into().expect("8-byte slice"));
-        if len > MAX_FRAME_LEN {
+        let payload = match usize::try_from(len) {
+            Ok(n) if len <= MAX_FRAME_LEN => read_payload(&mut stream, n),
+            _ => Err(io::ErrorKind::InvalidData.into()),
+        };
+        let Ok(payload) = payload else {
             let _ = events_tx.send(Frame { src, tag: DEATH_TAG, payload: Vec::new() });
             return;
-        }
-        let mut payload = vec![0u8; len as usize];
-        if stream.read_exact(&mut payload).is_err() {
-            let _ = events_tx.send(Frame { src, tag: DEATH_TAG, payload: Vec::new() });
-            return;
-        }
+        };
         let done = tag == DEATH_TAG;
         let _ = events_tx.send(Frame { src, tag, payload });
         if done {
             return;
         }
+    }
+}
+
+/// Read exactly `len` payload bytes into a buffer reserved exactly and never
+/// zero-filled: first up to [`PROBE_LEN`] bytes, and only once those have
+/// arrived the remainder the header claims.
+fn read_payload<S: Read>(stream: &mut S, len: usize) -> io::Result<Vec<u8>> {
+    let mut payload = Vec::new();
+    let probe = len.min(PROBE_LEN);
+    read_more(stream, &mut payload, probe)?;
+    read_more(stream, &mut payload, len - probe)?;
+    Ok(payload)
+}
+
+/// Append exactly `n` bytes from `stream` to `buf`, reading straight into
+/// freshly reserved capacity.
+fn read_more<S: Read>(stream: &mut S, buf: &mut Vec<u8>, n: usize) -> io::Result<()> {
+    buf.try_reserve_exact(n).map_err(|_| io::ErrorKind::OutOfMemory)?;
+    if stream.by_ref().take(n as u64).read_to_end(buf)? == n {
+        Ok(())
+    } else {
+        Err(io::ErrorKind::UnexpectedEof.into())
     }
 }
 
@@ -177,13 +209,24 @@ impl<F: Fabric> MeshTransport<F> {
     }
 }
 
-// PANIC-FREE: constant ranges into a fixed 16-byte header.
+/// Write one frame, header and payload in a single vectored write (a second
+/// write happens only when the socket buffer takes less than the frame).
+// PANIC-FREE: constant ranges into a fixed 16-byte header; `sent < 16` guards `header[sent..]`.
 fn write_frame<S: Write>(stream: &mut S, tag: Tag, payload: &[u8]) -> io::Result<()> {
     let mut header = [0u8; 16];
     header[..8].copy_from_slice(&tag.to_le_bytes());
     header[8..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    stream.write_all(&header)?;
-    stream.write_all(payload)
+    let mut sent = 0;
+    while sent < header.len() {
+        let bufs = [IoSlice::new(&header[sent..]), IoSlice::new(payload)];
+        match stream.write_vectored(&bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    stream.write_all(payload.get(sent - header.len()..).unwrap_or_default())
 }
 
 impl<F: Fabric> Transport for MeshTransport<F> {
@@ -247,5 +290,113 @@ impl<F: Fabric> Transport for MeshTransport<F> {
         self.shutdown.store(true, Ordering::Release);
         drop(F::connect(&self.addrs[self.rank]));
         F::cleanup(&self.addrs[self.rank]);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smart_memtrack::{MemScope, TrackingAlloc};
+    use std::io::Cursor;
+
+    // Counts this test binary's heap, so a test can bound what a lying
+    // length prefix makes the reader allocate.
+    #[global_allocator]
+    static ALLOC: TrackingAlloc = TrackingAlloc::new();
+
+    /// A sink that accepts at most `cap` bytes per call and logs each call.
+    struct Recorder {
+        cap: usize,
+        calls: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let before = self.bytes.len();
+            for buf in bufs {
+                let room = self.cap - (self.bytes.len() - before);
+                self.bytes.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            self.calls.push(self.bytes.len() - before);
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn wire_frame(tag: Tag, payload: &[u8]) -> Vec<u8> {
+        let mut out = tag.to_le_bytes().to_vec();
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// Run a reader over `input` (a whole connection's bytes) and collect
+    /// what it reported.
+    fn read_all(input: Vec<u8>) -> Vec<Frame> {
+        let (tx, rx) = channel::unbounded();
+        reader_loop(Cursor::new(input), 4, tx);
+        std::iter::from_fn(|| rx.try_recv().ok()).collect()
+    }
+
+    #[test]
+    fn a_frame_is_one_vectored_write() {
+        let mut sink = Recorder { cap: usize::MAX, calls: Vec::new(), bytes: Vec::new() };
+        write_frame(&mut sink, 9, &[1, 2, 3, 4]).unwrap();
+        assert_eq!(sink.calls, vec![20], "header and payload leave together");
+        assert_eq!(sink.bytes, wire_frame(9, &[1, 2, 3, 4]));
+
+        // A sink that takes 5 bytes at a time still gets every byte in order.
+        let mut slow = Recorder { cap: 5, calls: Vec::new(), bytes: Vec::new() };
+        let payload: Vec<u8> = (0..40).collect();
+        write_frame(&mut slow, 9, &payload).unwrap();
+        assert_eq!(slow.bytes, wire_frame(9, &payload));
+    }
+
+    #[test]
+    fn reader_sizes_payload_buffers_exactly() {
+        let payload: Vec<u8> = (0..PROBE_LEN + 5).map(|i| i as u8).collect();
+        let mut input = 2u64.to_le_bytes().to_vec(); // hello from rank 2
+        input.extend(wire_frame(7, &payload));
+        input.extend(wire_frame(8, &[]));
+        let frames = read_all(input);
+        assert_eq!(frames.len(), 3);
+        assert_eq!((frames[0].src, frames[0].tag), (2, 7));
+        assert_eq!(frames[0].payload, payload);
+        assert_eq!(frames[0].payload.capacity(), payload.len());
+        assert_eq!((frames[1].tag, frames[1].payload.len()), (8, 0));
+        assert_eq!(frames[2].tag, DEATH_TAG, "end of input is a death notice");
+    }
+
+    /// A connection that says hello, claims a 2 GiB frame and closes: the
+    /// receiver gets a death notice, and the claim alone allocates nothing
+    /// to speak of. (At the parent commit the reader allocated and
+    /// zero-filled the claimed 2 GiB before reading a byte.)
+    #[test]
+    fn oversize_header_is_a_death_notice_not_an_allocation() {
+        let mut input = 1u64.to_le_bytes().to_vec();
+        input.extend_from_slice(&7u64.to_le_bytes());
+        input.extend_from_slice(&(2u64 << 30).to_le_bytes());
+        let scope = MemScope::begin();
+        let frames = read_all(input);
+        let grown = scope.finish().peak_above_entry;
+        assert_eq!(frames.len(), 1);
+        assert_eq!((frames[0].src, frames[0].tag), (1, DEATH_TAG));
+        assert!(grown < 1 << 20, "a lying header cost {grown} bytes of heap");
+
+        // Beyond the sanity cap the header is rejected outright.
+        let mut input = 1u64.to_le_bytes().to_vec();
+        input.extend_from_slice(&7u64.to_le_bytes());
+        input.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
+        input.extend_from_slice(&[0; 64]);
+        let frames = read_all(input);
+        assert_eq!((frames.len(), frames[0].tag), (1, DEATH_TAG));
     }
 }

@@ -288,8 +288,10 @@ pub struct StagerOutcome<Out> {
     pub steps: usize,
     /// Scheduler stats accumulated over all steps, with the `transit_*`
     /// counters filled in ([`RunStats::transit_recv_busy`],
-    /// [`RunStats::transit_bytes`]; [`RunStats::transit_send_busy`]
-    /// aggregates this stager's producers).
+    /// [`RunStats::transit_decode_busy`], [`RunStats::transit_bytes`];
+    /// [`RunStats::transit_send_busy`] and
+    /// [`RunStats::transit_encode_busy`] aggregate this stager's
+    /// producers).
     pub stats: RunStats,
     /// Per-producer stream counters, indexed like
     /// [`Topology::producers_of`].
@@ -426,8 +428,7 @@ where
                         steps += 1;
                     }
                     for rx in &rxs {
-                        stats.transit_recv_busy += rx.stats().recv_busy;
-                        stats.transit_bytes += rx.stats().bytes;
+                        stats.absorb_stream_recv(rx.stats());
                     }
                     let map_bytes = sched.canonical_map_bytes()?;
                     Ok(StagerOutcome {
@@ -458,7 +459,7 @@ where
                 for p in topo.producers_of(s) {
                     // PANIC-FREE: producers_of yields world ranks < topo.producers = producers.len().
                     if let Ok(prod) = &producers[p] {
-                        stager.stats.transit_send_busy += prod.stream.send_busy;
+                        stager.stats.absorb_stream_send(&prod.stream);
                     }
                 }
             }

@@ -13,6 +13,7 @@
 //! serialized-size computation, no transport-byte counter reads — not just
 //! the reporting. [`Stopwatch`] encodes that rule for timers.
 
+use smart_comm::{StreamRecvStats, StreamSendStats};
 use std::time::{Duration, Instant};
 
 /// Sink for per-phase measurements from one [`crate::Scheduler::execute`]
@@ -178,6 +179,16 @@ pub struct RunStats {
     /// In-transit mode only: wire bytes streamed from producers to this
     /// stager. Zero for in-situ placements.
     pub transit_bytes: u64,
+    /// In-transit mode only: the part of
+    /// [`transit_send_busy`](Self::transit_send_busy) spent encoding
+    /// time-steps into stream frames; the rest is credit waits and the
+    /// transport write.
+    pub transit_encode_busy: Duration,
+    /// In-transit mode only: stager-side busy time decoding consumed chunks
+    /// out of their received frames (not part of
+    /// [`transit_recv_busy`](Self::transit_recv_busy), which is the wait
+    /// for data).
+    pub transit_decode_busy: Duration,
     /// Checkpointing only: busy time spent serializing and writing
     /// reduction-object snapshots. Zero when checkpointing is off.
     pub ckpt_busy: Duration,
@@ -233,6 +244,8 @@ impl RunStats {
         self.transit_send_busy += other.transit_send_busy;
         self.transit_recv_busy += other.transit_recv_busy;
         self.transit_bytes += other.transit_bytes;
+        self.transit_encode_busy += other.transit_encode_busy;
+        self.transit_decode_busy += other.transit_decode_busy;
         self.ckpt_busy += other.ckpt_busy;
         self.ckpt_bytes += other.ckpt_bytes;
         self.ckpts += other.ckpts;
@@ -244,6 +257,20 @@ impl RunStats {
         for lane in &other.jobs {
             self.lane_mut(lane.job).merge(lane);
         }
+    }
+
+    /// Fold one producer stream's send-side counters into the `transit_*`
+    /// fields (the stager a producer streams to reports them).
+    pub fn absorb_stream_send(&mut self, stream: &StreamSendStats) {
+        self.transit_send_busy += stream.send_busy;
+        self.transit_encode_busy += stream.encode_busy;
+    }
+
+    /// Fold one stream's receive-side counters into the `transit_*` fields.
+    pub fn absorb_stream_recv(&mut self, stream: &StreamRecvStats) {
+        self.transit_recv_busy += stream.recv_busy;
+        self.transit_decode_busy += stream.decode_busy;
+        self.transit_bytes += stream.bytes;
     }
 
     /// The accounting lane for `job`, created (sorted by id) on first use.

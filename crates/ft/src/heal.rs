@@ -513,8 +513,7 @@ where
                         }
                     }
                     for slot in &slots {
-                        stats.transit_recv_busy += slot.rx.stats().recv_busy;
-                        stats.transit_bytes += slot.rx.stats().bytes;
+                        stats.absorb_stream_recv(slot.rx.stats());
                     }
                     let map_bytes = sched.canonical_map_bytes().map_err(|e| e.at(me, committed))?;
                     Ok(HealedStagerOutcome {
@@ -547,7 +546,7 @@ where
                 for p in topo.producers_of(s) {
                     // PANIC-FREE: producers_of yields world ranks < topo.producers = producers.len().
                     if let Ok(prod) = &producers[p] {
-                        stager.stats.transit_send_busy += prod.stream.send_busy;
+                        stager.stats.absorb_stream_send(&prod.stream);
                     }
                 }
             }

@@ -152,8 +152,7 @@ where
                     }
                     let mut stats = driver.finish();
                     for rx in &rxs {
-                        stats.transit_recv_busy += rx.stats().recv_busy;
-                        stats.transit_bytes += rx.stats().bytes;
+                        stats.absorb_stream_recv(rx.stats());
                     }
                     Ok(ServeStagerOutcome {
                         handles,
@@ -182,7 +181,7 @@ where
                 for p in topo.producers_of(s) {
                     // PANIC-FREE: producers_of yields world ranks < topo.producers = producers.len().
                     if let Ok(prod) = &producers[p] {
-                        stager.stats.transit_send_busy += prod.stream.send_busy;
+                        stager.stats.absorb_stream_send(&prod.stream);
                     }
                 }
             }

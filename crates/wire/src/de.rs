@@ -15,6 +15,31 @@ pub fn from_bytes<'de, T: de::Deserialize<'de>>(input: &'de [u8]) -> Result<T> {
     }
 }
 
+/// Deserialize a top-level `Vec<T>` from `input`, reserving its capacity
+/// exactly once and requiring that the whole input is consumed.
+///
+/// Byte-for-byte the same format as `from_bytes::<Vec<T>>`, but serde's
+/// `Vec` visitor caps the capacity it takes from the size hint (1 MiB) and
+/// then regrows by doubling — three to four reallocations and copies for an
+/// 8 MiB time-step. Here the length prefix is checked against the remaining
+/// input first (every non-zero-sized element encodes to at least one byte),
+/// so a hostile prefix is an [`Error::LengthOverrun`], never an allocation
+/// beyond `input.len()` elements; the reservation itself is fallible.
+pub fn vec_from_bytes<'de, T: de::Deserialize<'de>>(input: &'de [u8]) -> Result<Vec<T>> {
+    let mut de = Deserializer::new(input);
+    let len = de.read_len(usize::from(std::mem::size_of::<T>() != 0))?;
+    let mut values = Vec::new();
+    values.try_reserve_exact(len).map_err(|e| Error::Message(e.to_string()))?;
+    for _ in 0..len {
+        values.push(T::deserialize(&mut de)?);
+    }
+    if de.input.is_empty() {
+        Ok(values)
+    } else {
+        Err(Error::TrailingBytes(de.input.len()))
+    }
+}
+
 /// Cursor-style deserializer over a borrowed byte slice.
 pub struct Deserializer<'de> {
     input: &'de [u8],
@@ -36,6 +61,13 @@ impl<'de> Deserializer<'de> {
     /// that know a field's encoded size and don't need its value.
     pub fn skip(&mut self, n: usize) -> Result<()> {
         self.take(n).map(|_| ())
+    }
+
+    /// Borrow the next `n` bytes uninterpreted and advance past them — for
+    /// hand-laid frames (the in-transit stream's batch frame) whose payloads
+    /// are decoded later, straight from the borrowed slice.
+    pub fn take_bytes(&mut self, n: usize) -> Result<&'de [u8]> {
+        self.take(n)
     }
 
     #[inline]
@@ -325,6 +357,48 @@ mod tests {
         let bytes = to_bytes("zero-copy").unwrap();
         let s: &str = from_bytes(&bytes).unwrap();
         assert_eq!(s, "zero-copy");
+    }
+
+    #[test]
+    fn vec_from_bytes_matches_from_bytes_and_reserves_exactly() {
+        let floats: Vec<f64> = (0..300_000).map(|i| i as f64 * 0.25).collect();
+        let bytes = to_bytes(&floats).unwrap();
+        let got: Vec<f64> = vec_from_bytes(&bytes).unwrap();
+        assert_eq!(got, floats);
+        assert_eq!(got.capacity(), floats.len(), "one exact reservation, no doubling");
+
+        let nested = vec![(1i64, vec![1u8, 2]), (-7, vec![])];
+        let bytes = to_bytes(&nested).unwrap();
+        assert_eq!(vec_from_bytes::<(i64, Vec<u8>)>(&bytes).unwrap(), nested);
+        assert_eq!(from_bytes::<Vec<(i64, Vec<u8>)>>(&bytes).unwrap(), nested);
+
+        let units = vec![(); 5];
+        assert_eq!(vec_from_bytes::<()>(&to_bytes(&units).unwrap()).unwrap(), units);
+        assert!(vec_from_bytes::<u64>(&to_bytes(&Vec::<u64>::new()).unwrap()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn vec_from_bytes_rejects_malformed_input_without_allocating_for_it() {
+        let bytes = to_bytes(&vec![1u64, 2, 3]).unwrap();
+        for cut in 0..bytes.len() {
+            assert!(vec_from_bytes::<u64>(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert_eq!(vec_from_bytes::<u64>(&trailing), Err(Error::TrailingBytes(1)));
+        // A hostile prefix fails the plausibility check before any reserve.
+        let mut hostile = bytes;
+        hostile[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(vec_from_bytes::<u64>(&hostile), Err(Error::LengthOverrun { .. })));
+    }
+
+    #[test]
+    fn take_bytes_borrows_and_advances() {
+        let mut de = Deserializer::new(&[1, 2, 3, 4, 5]);
+        assert_eq!(de.take_bytes(2).unwrap(), &[1, 2]);
+        assert_eq!(de.remaining(), 3);
+        assert!(matches!(de.take_bytes(4), Err(Error::UnexpectedEof { needed: 4, remaining: 3 })));
+        assert_eq!(de.take_bytes(3).unwrap(), &[3, 4, 5]);
     }
 
     #[test]

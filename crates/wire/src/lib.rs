@@ -40,7 +40,7 @@ mod ser;
 mod view;
 
 pub use count::encoded_len;
-pub use de::{from_bytes, Deserializer};
+pub use de::{from_bytes, vec_from_bytes, Deserializer};
 pub use error::{Error, Result};
 pub use ser::{to_bytes, to_writer, Serializer};
 pub use view::EntriesCursor;

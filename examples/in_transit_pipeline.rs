@@ -81,12 +81,14 @@ fn main() {
     for (s, stager) in stagers.iter().enumerate() {
         let stats = &stager.stats;
         println!(
-            "  stager {s}: {} steps, {} KiB received, recv-busy {:.1?}, \
-             producers' send-busy {:.1?}",
+            "  stager {s}: {} steps, {} KiB received, recv-busy {:.1?} + decode {:.1?}, \
+             producers' send-busy {:.1?} (encode {:.1?})",
             stager.steps,
             stats.transit_bytes / 1024,
             stats.transit_recv_busy,
+            stats.transit_decode_busy,
             stats.transit_send_busy,
+            stats.transit_encode_busy,
         );
         for (rx, p) in stager.streams.iter().zip(topo.producers_of(s)) {
             // The credit window bounds the staging-side buffer: at most

@@ -4,10 +4,14 @@
 //! Covers exactly the code whose soundness rests on manual argument rather
 //! than the type system: `SharedSlice`'s `UnsafeCell` slice and its
 //! disjointness contract, `RedMap`'s open-addressed storage, `smart-wire`
-//! encode/decode round trips, and the `memtrack` counting allocator. The
+//! encode/decode round trips, the byte parsers that walk untrusted buffers
+//! in place (`EntriesCursor`, the stream's `BatchFrame`), and the
+//! `memtrack` counting allocator. The
 //! loom suites check *schedules*; this suite checks *pointer discipline*
 //! under Miri's aliasing and validity rules.
 
+use smart_insitu::comm::stream::BatchFrame;
+use smart_insitu::comm::CommError;
 use smart_insitu::core::{fold_entries_view, Analytics, Chunk, Key, RedMap, RedObj, SharedSlice};
 use smart_insitu::wire::EntriesCursor;
 use smart_insitu::{memtrack, wire};
@@ -218,6 +222,83 @@ fn entries_cursor_max_count_prefixes_are_rejected() {
         let _: u64 = cur.value().unwrap();
     }
     cur.finish().unwrap();
+}
+
+/// A 3-chunk in-transit batch frame laid out by hand, as `comm::stream`
+/// documents it: `[n_chunks u64][eos u8]`, then per chunk
+/// `[step u64][offset u64][payload_len u64][payload]`. Returns the frame,
+/// the chunks' data and the byte position of each chunk's `payload_len`.
+fn three_chunk_frame() -> (Vec<u8>, [Vec<u64>; 3], [usize; 3]) {
+    let chunks = [vec![5u64, 6, 7], vec![], vec![8]];
+    let mut frame = 3u64.to_le_bytes().to_vec();
+    frame.push(1);
+    let mut len_at = [0usize; 3];
+    for (i, data) in chunks.iter().enumerate() {
+        let payload = wire::to_bytes(data).unwrap();
+        frame.extend_from_slice(&(i as u64).to_le_bytes());
+        frame.extend_from_slice(&(i as u64 * 100).to_le_bytes());
+        len_at[i] = frame.len();
+        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        frame.extend_from_slice(&payload);
+    }
+    (frame, chunks, len_at)
+}
+
+fn is_codec_error(result: Result<BatchFrame, CommError>) -> bool {
+    matches!(result, Err(CommError::Codec(_)))
+}
+
+#[test]
+fn batch_frame_walks_chunks_in_place() {
+    let (frame, chunks, _) = three_chunk_frame();
+    let mut cur = BatchFrame::parse(frame).unwrap();
+    assert!(cur.eos());
+    for (i, want) in chunks.iter().enumerate() {
+        assert_eq!(cur.chunks_left(), 3 - i);
+        let chunk = cur.next_chunk().unwrap();
+        assert_eq!((chunk.step, chunk.offset), (i as u64, i * 100));
+        assert_eq!(&wire::vec_from_bytes::<u64>(chunk.payload).unwrap(), want);
+    }
+    assert!(cur.next_chunk().is_none());
+}
+
+#[test]
+fn batch_frame_malformed_input_errors_not_panic() {
+    let (frame, _, len_at) = three_chunk_frame();
+    // Every strict prefix: cuts inside the batch header, a chunk header and
+    // a payload all surface as a typed error (never an out-of-bounds read,
+    // which Miri would flag).
+    for cut in 0..frame.len() {
+        assert!(is_codec_error(BatchFrame::parse(frame[..cut].to_vec())), "prefix of {cut}");
+    }
+    // One chunk too many, and an absurd count.
+    for count in [4u64, u64::MAX] {
+        let mut bad = frame.clone();
+        bad[..8].copy_from_slice(&count.to_le_bytes());
+        assert!(is_codec_error(BatchFrame::parse(bad)), "n_chunks {count}");
+    }
+    // A payload length one past what is there, and an absurd one, on every
+    // chunk — including the last, where one more byte is simply missing.
+    for at in len_at {
+        let declared = u64::from_le_bytes(frame[at..at + 8].try_into().unwrap());
+        for len in [declared + 1, u64::MAX] {
+            let mut bad = frame.clone();
+            bad[at..at + 8].copy_from_slice(&len.to_le_bytes());
+            assert!(is_codec_error(BatchFrame::parse(bad)), "payload_len {len} at {at}");
+        }
+    }
+    // The end-of-stream byte is 0 or 1.
+    for eos in [2u8, 0xFF] {
+        let mut bad = frame.clone();
+        bad[8] = eos;
+        assert!(is_codec_error(BatchFrame::parse(bad)), "eos byte {eos}");
+    }
+    // Bytes behind the last chunk.
+    let mut bad = frame.clone();
+    bad.push(0);
+    assert!(is_codec_error(BatchFrame::parse(bad)));
+    // And the untouched frame still parses.
+    assert_eq!(BatchFrame::parse(frame).unwrap().chunks_left(), 3);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! Integer-valued inputs keep every f64 merge exact, so the comparisons
 //! really are byte equality.
 
-use smart_insitu::analytics::{Histogram, HyperLogLog, Moments};
+use smart_insitu::analytics::{Histogram, HyperLogLog, KMeans, Moments};
 use smart_insitu::comm::{run_cluster_with, CommConfig, StreamConfig, TransportKind};
 use smart_insitu::core::in_transit::{run_in_transit, InTransitConfig, Producer, Topology};
 use smart_insitu::core::space::SpaceShared;
@@ -59,25 +59,68 @@ fn map_bytes<A: Analytics>(s: &Scheduler<A>) -> Vec<u8> {
     smart_insitu::wire::to_bytes(&s.combination_map().to_sorted_entries()).unwrap()
 }
 
+/// Distributed time sharing of `make()`'s analytics, one rank per producer,
+/// on `kind`.
+fn time_sharing_map<A, F>(make: F, out_len: usize, kind: TransportKind) -> Vec<u8>
+where
+    A: Analytics<In = f64>,
+    A::Out: Default,
+    F: Fn() -> Scheduler<A> + Sync,
+{
+    let per_rank = run_cluster_with(PRODUCERS, comm_cfg(kind), |mut comm| {
+        let mut s = make();
+        let mut out: Vec<A::Out> = (0..out_len).map(|_| A::Out::default()).collect();
+        for t in 0..STEPS {
+            let data = partition(t, comm.rank());
+            s.run_dist(&mut comm, &data, &mut out).unwrap();
+        }
+        map_bytes(&s)
+    });
+    for rank in 1..per_rank.len() {
+        assert_eq!(per_rank[rank], per_rank[0], "time-sharing rank {rank} diverged");
+    }
+    per_rank.into_iter().next().unwrap()
+}
+
+/// The same analytics in transit, with the given stream shape on `kind`.
+fn in_transit_map<A, F>(
+    make: F,
+    out_len: usize,
+    kind: TransportKind,
+    stream: StreamConfig,
+) -> Vec<u8>
+where
+    A: Analytics<In = f64>,
+    A::Out: Default,
+    F: Fn() -> Scheduler<A> + Sync,
+{
+    let outcome = run_in_transit(
+        Topology::new(PRODUCERS, STAGERS),
+        transit_cfg(kind).with_stream(stream),
+        KeyMode::Single,
+        |prod: &mut Producer<f64>| {
+            for t in 0..STEPS {
+                prod.feed(prod.index() * PART, &partition(t, prod.index()))?;
+            }
+            Ok(())
+        },
+        |_s| Ok((make(), (0..out_len).map(|_| A::Out::default()).collect())),
+    );
+    let (producers, stagers) = outcome.into_result().unwrap();
+    for prod in &producers {
+        assert_eq!(prod.stream.steps, STEPS as u64);
+    }
+    for s in 1..stagers.len() {
+        assert_eq!(stagers[s].map_bytes, stagers[0].map_bytes, "stager {s} diverged");
+    }
+    stagers.into_iter().next().unwrap().map_bytes
+}
+
 /// Distributed time sharing, in-transit staging, and (comm-free control)
 /// space sharing of the same histogram, on one backend.
 fn placements_on(kind: TransportKind) -> [Vec<u8>; 3] {
     // Distributed time sharing: one rank per producer.
-    let time = {
-        let per_rank = run_cluster_with(PRODUCERS, comm_cfg(kind), |mut comm| {
-            let mut s = hist_sched(2);
-            let mut out = vec![0u64; BUCKETS];
-            for t in 0..STEPS {
-                let data = partition(t, comm.rank());
-                s.run_dist(&mut comm, &data, &mut out).unwrap();
-            }
-            map_bytes(&s)
-        });
-        for rank in 1..per_rank.len() {
-            assert_eq!(per_rank[rank], per_rank[0], "time-sharing rank {rank} diverged");
-        }
-        per_rank.into_iter().next().unwrap()
-    };
+    let time = time_sharing_map(|| hist_sched(2), BUCKETS, kind);
 
     // Space sharing moves no inter-rank bytes — it anchors the comparison.
     let space = {
@@ -97,25 +140,7 @@ fn placements_on(kind: TransportKind) -> [Vec<u8>; 3] {
     };
 
     // In transit: producers stream partitions to staging ranks over `kind`.
-    let transit = {
-        let outcome = run_in_transit(
-            Topology::new(PRODUCERS, STAGERS),
-            transit_cfg(kind),
-            KeyMode::Single,
-            |prod: &mut Producer<f64>| {
-                for t in 0..STEPS {
-                    prod.feed(prod.index() * PART, &partition(t, prod.index()))?;
-                }
-                Ok(())
-            },
-            |_s| Ok((hist_sched(1), vec![0u64; BUCKETS])),
-        );
-        let (_producers, stagers) = outcome.into_result().unwrap();
-        for s in 1..stagers.len() {
-            assert_eq!(stagers[s].map_bytes, stagers[0].map_bytes, "stager {s} diverged");
-        }
-        stagers.into_iter().next().unwrap().map_bytes
-    };
+    let transit = in_transit_map(|| hist_sched(1), BUCKETS, kind, StreamConfig::with_window(2));
 
     [time, space, transit]
 }
@@ -129,6 +154,51 @@ fn three_placements_are_bit_identical_across_backends() {
         let got = placements_on(kind);
         assert_eq!(got, reference, "backend {name} diverged from inproc");
     }
+}
+
+/// Every shape of the stream's data plane — one chunk or two per frame, with
+/// and without the replay buffer's copy of each departing chunk, on every
+/// backend — delivers exactly the bytes time sharing reduces.
+fn every_stream_shape_matches_time_sharing<A, F>(what: &str, make: F, out_len: usize)
+where
+    A: Analytics<In = f64>,
+    A::Out: Default,
+    F: Fn() -> Scheduler<A> + Sync,
+{
+    let reference = time_sharing_map(&make, out_len, TransportKind::InProcess);
+    for &(name, kind) in &BACKENDS {
+        for batch_steps in [1, 2] {
+            for retain in [false, true] {
+                let stream = StreamConfig::with_window(2)
+                    .with_batch(batch_steps, 1 << 20)
+                    .with_retain_unacked(retain);
+                assert_eq!(
+                    in_transit_map(&make, out_len, kind, stream),
+                    reference,
+                    "{what} over {name}, batch_steps {batch_steps}, retain_unacked {retain}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn in_transit_histogram_matches_time_sharing_for_every_stream_shape() {
+    every_stream_shape_matches_time_sharing("histogram", || hist_sched(2), BUCKETS);
+}
+
+#[test]
+fn in_transit_kmeans_matches_time_sharing_for_every_stream_shape() {
+    let (k, dims, iters) = (3usize, 4usize, 4usize);
+    let init: Vec<f64> = (0..k * dims).map(|i| (i * 5 % 11) as f64).collect();
+    every_stream_shape_matches_time_sharing(
+        "k-means",
+        || {
+            let args = SchedArgs::new(2, dims).with_extra(init.clone()).with_iters(iters);
+            Scheduler::new(KMeans::new(k, dims), args, shared_pool(2).unwrap()).unwrap()
+        },
+        k,
+    );
 }
 
 /// A histogram scheduler whose reduction spills: shells drain to sorted
